@@ -1,9 +1,9 @@
 """Request-path batching & coalescing benchmarks (CI smoke subset).
 
-Three properties of the PR-8 serving hot path are held here, measured
-against a live :class:`~repro.serving.PredictionService` with a pinned
-per-row model cost (so what is measured is batch control and coalescing,
-not how many cores the CI machine has):
+Three properties of the serving hot path are held here, measured against a
+live :class:`~repro.serving.PredictionService` with a pinned per-row model
+cost (so what is measured is batch formation and coalescing, not how many
+cores the CI machine has):
 
 * **Single-flight coalescing multiplies hot-key throughput** — under a
   seeded hot-key Zipf open loop (burst arrivals, result cache off so
@@ -11,13 +11,13 @@ not how many cores the CI machine has):
   requests into one featurize+predict flight must at least double the
   completed-request throughput versus the same service with coalescing
   disabled.
-* **Adaptive batching removes the light-load flush tax** — at low load
-  the fixed policy pays its flush window on every lone request; the
-  adaptive policy flushes a shallow queue immediately, so its p50 must
-  not exceed the fixed policy's p50.
-* **Adaptive batching holds the overload tail** — under a backlog both
-  policies flush full batches back-to-back; the adaptive p99 must stay
-  within 1.25x of the fixed policy's p99.
+* **A lone request never waits for a batch** — the worker flushes whatever
+  is already queued and never sleeps on a timer, so at low load the
+  service-side ``queue_wait`` p50 stays under 1 ms.
+* **Batches form under overload without a timer** — when the offered rate
+  far exceeds the worker's capacity, requests pile up while each pass
+  runs, so the mean flushed batch reaches at least half of
+  ``max_batch_size``.
 
 The open-loop driver below spawns one thread per request at its seeded
 arrival time rather than going through ``asyncio.to_thread`` — the
@@ -177,9 +177,7 @@ def test_perf_coalescing_doubles_hot_key_throughput(export_dir, sequence_pool):
     for coalesce in (False, True):
         # The result cache is off so every request does real work — what is
         # measured is in-flight dedup, not memoisation of finished results.
-        with _service(
-            export_dir, cache_size=0, flush_interval=0.0, coalesce=coalesce
-        ) as service:
+        with _service(export_dir, cache_size=0, coalesce=coalesce) as service:
             _warmed(service, sequence_pool[:COALESCE_POOL], COALESCE_PER_ROW)
             report = _open_loop(service, workload)
             stats = service.stats()
@@ -208,52 +206,51 @@ def test_perf_coalescing_doubles_hot_key_throughput(export_dir, sequence_pool):
     }
 
 
-# Light load: lone requests trickle in far apart; the fixed policy pays
-# its 5ms flush window on every one, the adaptive policy flushes a
-# shallow queue immediately.
+# Light load: lone requests trickle in far apart, so each one finds an
+# empty queue and must be flushed at once.
 LOW_LOAD_REQUESTS = 80
 LOW_LOAD_RATE = 80.0
 LOW_LOAD_PER_ROW = 0.0005
+LOW_LOAD_QUEUE_WAIT_P50_MS = 1.0
 
 
 @pytest.mark.quick
-def test_perf_adaptive_p50_beats_fixed_at_low_load(export_dir, sequence_pool):
+def test_perf_queue_wait_p50_under_1ms_at_low_load(export_dir, sequence_pool):
     workload = build_workload(
         sequence_pool[:64],
         n_requests=LOW_LOAD_REQUESTS,
         seed=BENCH_SEED,
         rate=LOW_LOAD_RATE,
     )
-    reports = {}
-    for policy in ("fixed", "adaptive"):
-        with _service(
-            export_dir, cache_size=0, batch_policy=policy, slo_ms=25.0
-        ) as service:
-            _warmed(service, sequence_pool[:64], LOW_LOAD_PER_ROW)
-            reports[policy] = _open_loop(service, workload)
+    with _service(export_dir, cache_size=0) as service:
+        _warmed(service, sequence_pool[:64], LOW_LOAD_PER_ROW)
+        report = _open_loop(service, workload)
+        queue_wait = service.stats()["stages"]["queue_wait"]
 
-    assert reports["adaptive"]["p50_ms"] <= reports["fixed"]["p50_ms"], (
-        f"adaptive p50 {reports['adaptive']['p50_ms']:.2f}ms exceeds the "
-        f"fixed policy's {reports['fixed']['p50_ms']:.2f}ms at low load — "
-        f"the flush-window tax should have disappeared"
+    assert queue_wait["p50_ms"] < LOW_LOAD_QUEUE_WAIT_P50_MS, (
+        f"service-side queue_wait p50 {queue_wait['p50_ms']:.2f}ms at low "
+        f"load — a lone request should be flushed without waiting"
     )
-    RESULTS["low_load_p50"] = {
+    RESULTS["low_load_queue_wait"] = {
         "rate_rps": LOW_LOAD_RATE,
         "per_row_s": LOW_LOAD_PER_ROW,
-        "fixed": reports["fixed"],
-        "adaptive": reports["adaptive"],
+        "queue_wait_p50_ms": queue_wait["p50_ms"],
+        "queue_wait_p99_ms": queue_wait["p99_ms"],
+        "bound_ms": LOW_LOAD_QUEUE_WAIT_P50_MS,
+        "client": report,
     }
 
 
-# Overload: offered rate well above worker capacity; both policies must
-# flush full batches back-to-back and the adaptive tail must not regress.
+# Overload: offered rate well above worker capacity, so requests pile up
+# while each pass runs and the next flush takes them all (up to the cap).
 OVERLOAD_REQUESTS = 300
 OVERLOAD_RATE = 1500.0
 OVERLOAD_PER_ROW = 0.002
+OVERLOAD_MAX_BATCH = 32
 
 
 @pytest.mark.quick
-def test_perf_adaptive_p99_holds_under_overload(export_dir, sequence_pool):
+def test_perf_overload_fills_half_of_max_batch_size(export_dir, sequence_pool):
     workload = build_workload(
         sequence_pool[:64],
         n_requests=OVERLOAD_REQUESTS,
@@ -261,30 +258,32 @@ def test_perf_adaptive_p99_holds_under_overload(export_dir, sequence_pool):
         rate=OVERLOAD_RATE,
         arrival="burst",
     )
-    reports = {}
-    for policy in ("fixed", "adaptive"):
-        # Coalescing off: the uniform pool still repeats payloads under
-        # backlog, and in-flight dedup would blur the policy comparison.
-        with _service(
-            export_dir,
-            cache_size=0,
-            coalesce=False,
-            batch_policy=policy,
-            slo_ms=25.0,
-        ) as service:
-            _warmed(service, sequence_pool[:64], OVERLOAD_PER_ROW)
-            reports[policy] = _open_loop(service, workload)
+    # Coalescing off: the uniform pool still repeats payloads under
+    # backlog, and in-flight dedup would shrink the batches.
+    with _service(
+        export_dir, cache_size=0, coalesce=False, max_batch_size=OVERLOAD_MAX_BATCH
+    ) as service:
+        _warmed(service, sequence_pool[:64], OVERLOAD_PER_ROW)
+        before = service.stats()
+        report = _open_loop(service, workload)
+        after = service.stats()
 
-    assert reports["adaptive"]["p99_ms"] <= 1.25 * reports["fixed"]["p99_ms"], (
-        f"adaptive p99 {reports['adaptive']['p99_ms']:.1f}ms blew past "
-        f"1.25x the fixed policy's {reports['fixed']['p99_ms']:.1f}ms "
-        f"under overload"
+    flushes = after["batches_flushed"] - before["batches_flushed"]
+    batched = after["batched_requests"] - before["batched_requests"]
+    assert batched == OVERLOAD_REQUESTS
+    mean_batch = batched / flushes
+    assert mean_batch >= OVERLOAD_MAX_BATCH / 2, (
+        f"mean batch {mean_batch:.1f} under overload is below half of "
+        f"max_batch_size={OVERLOAD_MAX_BATCH}"
     )
-    RESULTS["overload_p99"] = {
+    RESULTS["overload_batch_fill"] = {
         "rate_rps": OVERLOAD_RATE,
         "per_row_s": OVERLOAD_PER_ROW,
-        "fixed": reports["fixed"],
-        "adaptive": reports["adaptive"],
+        "max_batch_size": OVERLOAD_MAX_BATCH,
+        "batches_flushed": flushes,
+        "mean_batch_size": mean_batch,
+        "largest_batch": after["largest_batch"],
+        "client": report,
     }
 
 
@@ -293,12 +292,11 @@ def test_emit_bench_batching_artifact(export_dir, sequence_pool):
     """Write BENCH_batching.json — the batching/coalescing perf artifact."""
     # A tiny standalone measurement so the artifact carries a baseline even
     # when the other benchmarks are filtered out.
-    with _service(export_dir, batch_policy="adaptive", slo_ms=25.0) as service:
+    with _service(export_dir) as service:
         service.predict(MODEL, sequence_pool[0])
         stats = service.stats()
     RESULTS["single_request_smoke"] = {
-        "policy": stats["batching"]["policy"],
-        "batches_flushed": stats["batched_requests"],
+        "batches_flushed": stats["batches_flushed"],
         "queue_depth_p99": stats["stages"]["queue_depth"]["p99"],
         "batch_size_max": stats["stages"]["batch_size"]["max"],
     }

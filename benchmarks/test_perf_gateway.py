@@ -52,16 +52,23 @@ def request_sequences(gateway_corpus):
 
 
 def _slow_bundle_model(export_dir):
-    """The bundled model with an artificial sleep on every prediction."""
+    """The bundled model with an artificial sleep on every prediction, plus
+    a one-element counter of the slowed passes that ran.
+
+    The TF-IDF serving path runs ``predict_proba_features`` on precomputed
+    features, so that is the pass the sleep is pinned to.
+    """
     slow = ModelBundle.load(export_dir / MODEL).model
-    inner = slow.predict_proba_tokens
+    inner = slow.predict_proba_features
+    passes = [0]
 
-    def sleepy(token_lists):
+    def sleepy(features):
+        passes[0] += 1
         time.sleep(SHADOW_SLEEP)
-        return inner(token_lists)
+        return inner(features)
 
-    slow.predict_proba_tokens = sleepy
-    return slow
+    slow.predict_proba_features = sleepy
+    return slow, passes
 
 
 @pytest.mark.quick
@@ -69,7 +76,8 @@ def test_perf_shadow_traffic_adds_no_blocking_latency(export_dir, request_sequen
     requests = request_sequences[:12]
     with ModelGateway(cache_size=0) as gateway:
         gateway.deploy("cuisine", "v1", export_dir / MODEL)
-        gateway.deploy("cuisine", "v2", _slow_bundle_model(export_dir), activate=False)
+        slow, slow_passes = _slow_bundle_model(export_dir)
+        gateway.deploy("cuisine", "v2", slow, activate=False)
         gateway.predict("cuisine", requests[0])  # warm featurization + worker
 
         gateway.set_policy("cuisine", Shadow(candidate="v2"))
@@ -87,6 +95,7 @@ def test_perf_shadow_traffic_adds_no_blocking_latency(export_dir, request_sequen
         gateway.flush_shadows(timeout=60.0)
         shadow = gateway.registry.metrics("cuisine").snapshot()["shadow"]
         assert shadow["requests"] == len(requests)  # the mirrors really ran
+        assert slow_passes[0] > 0, "the candidate's sleep never ran"
         assert shadow["errors"] == 0
 
 

@@ -74,14 +74,18 @@ def _served(gateway: ModelGateway, **kwargs):
 def test_perf_admission_shedding_bounds_p99(export_dir, request_pool):
     # A model that takes SLOW_MODEL_SLEEP per pass, result cache off: the
     # server's capacity is genuinely bounded by model service time.
+    # The TF-IDF serving path runs ``predict_proba_features`` on
+    # precomputed features, so that is the pass the sleep is pinned to.
     model = ModelBundle.load(export_dir / MODEL).model
-    inner = model.predict_proba_tokens
+    inner = model.predict_proba_features
+    passes = [0]
 
-    def sleepy(token_lists):
+    def sleepy(features):
+        passes[0] += 1
         time.sleep(SLOW_MODEL_SLEEP)
-        return inner(token_lists)
+        return inner(features)
 
-    model.predict_proba_tokens = sleepy
+    model.predict_proba_features = sleepy
     gateway = ModelGateway(cache_size=0)
     gateway.deploy("cuisine", "v1", model)
 
@@ -102,6 +106,7 @@ def test_perf_admission_shedding_bounds_p99(export_dir, request_pool):
 
         assert report.ok + report.shed + report.errors == 240
         assert report.errors == 0
+        assert passes[0] > 0, "the pinned service time never ran"
         assert report.shed > 0, "overload never tripped admission control"
         assert report.ok > 0, "admission control shed everything"
         # Served requests keep a bounded tail: a small multiple of the

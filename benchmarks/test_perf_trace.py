@@ -64,26 +64,34 @@ def request_pool(trace_corpus):
     return [recipe.sequence for recipe in trace_corpus.recipes[:40]]
 
 
-def _pinned_gateway(export_dir, sleep_s: float = PINNED_SLEEP) -> ModelGateway:
+def _pinned_gateway(
+    export_dir, sleep_s: float = PINNED_SLEEP
+) -> tuple[ModelGateway, list[int]]:
     """A gateway whose model pays a fixed per-pass sleep (cache off, so
-    every request does the pinned work)."""
+    every request does the pinned work), plus a one-element counter of the
+    pinned passes that ran.
+
+    The serving path of a TF-IDF model calls ``predict_proba_features``
+    on precomputed features, so that is the pass the sleep is pinned to.
+    """
     model = ModelBundle.load(export_dir / MODEL).model
-    inner = model.predict_proba_tokens
+    inner = model.predict_proba_features
+    passes = [0]
 
-    def pinned(token_lists):
+    def pinned(features):
+        passes[0] += 1
         time.sleep(sleep_s)
-        return inner(token_lists)
+        return inner(features)
 
-    model.predict_proba_tokens = pinned
+    model.predict_proba_features = pinned
     gateway = ModelGateway(cache_size=0)
     gateway.deploy("cuisine", "v1", model)
-    return gateway
+    return gateway, passes
 
 
 def _closed_loop_p50(export_dir, request_pool, *, trace_sample) -> float:
-    server = ModelServer(
-        _pinned_gateway(export_dir), max_inflight=64, trace_sample=trace_sample
-    )
+    gateway, passes = _pinned_gateway(export_dir)
+    server = ModelServer(gateway, max_inflight=64, trace_sample=trace_sample)
     handle = server.start_in_thread()
     try:
         target = HTTPTarget("127.0.0.1", handle.port, "cuisine")
@@ -94,6 +102,7 @@ def _closed_loop_p50(export_dir, request_pool, *, trace_sample) -> float:
         )
         report = run_closed_loop(target, workload, concurrency=4)
         assert report.ok == 160 and report.errors == 0
+        assert passes[0] > 0, "the pinned service time never ran"
         return report.latency["p50_ms"]
     finally:
         handle.stop()
@@ -131,8 +140,9 @@ def test_perf_tail_sampling_captures_slow_and_errors(export_dir, request_pool):
     # Head sampling off entirely; everything kept must come from the tail
     # verdicts. With a 1ms slow threshold against a 5ms pinned model, every
     # OK request is "slow" — all of them must be retrievable.
+    gateway, passes = _pinned_gateway(export_dir)
     server = ModelServer(
-        _pinned_gateway(export_dir),
+        gateway,
         max_inflight=64,
         trace_sample=0.0,
         trace_slow_ms=1.0,
@@ -143,6 +153,7 @@ def test_perf_tail_sampling_captures_slow_and_errors(export_dir, request_pool):
         workload = build_workload(request_pool, n_requests=30, seed=BENCH_SEED)
         report = run_closed_loop(target, workload, concurrency=2)
         assert report.ok == 30 and report.errors == 0
+        assert passes[0] > 0, "the pinned service time never ran"
         assert len(report.slow_traces) == 5  # ids of the slowest requests
 
         connection = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)

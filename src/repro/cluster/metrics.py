@@ -49,11 +49,12 @@ __all__ = [
 #: Keys that identify a single worker and are meaningless fleet-wide.
 _PER_WORKER_KEYS = frozenset({"worker_id"})
 
-#: Process-gauge keys with dedicated merge semantics: summing or averaging
-#: pids is meaningless, and averaging uptimes hides the youngest/oldest
-#: worker mid-rolling-restart.
+#: Gauge keys with dedicated merge semantics: summing or averaging pids is
+#: meaningless, averaging uptimes hides the youngest/oldest worker
+#: mid-rolling-restart, and the fleet's largest batch is the largest any one
+#: worker flushed, not their sum.
 _PID_KEYS = frozenset({"pid"})
-_MAX_KEYS = frozenset({"uptime_seconds"})
+_MAX_KEYS = frozenset({"uptime_seconds", "largest_batch"})
 
 
 def _is_latency_snapshot(value: object) -> bool:
@@ -117,7 +118,8 @@ def _merge_values(key: str, values: list):
         for value in present
     ):
         # Fleet uptime is the oldest worker's — averaging would dip on every
-        # rolling restart even though the fleet never went down.
+        # rolling restart even though the fleet never went down.  Likewise
+        # the fleet's largest batch is one worker's, never a sum.
         return max(present)
     if all(_is_latency_snapshot(value) for value in present):
         return merge_latency_snapshots(present)

@@ -7,8 +7,9 @@ The subsystem turns exported model bundles into a running inference layer:
   experiment runner's ``export_dir``);
 * :mod:`repro.serving.service` — :class:`PredictionService`, which featurizes
   raw recipe sequences through a shared warm feature store, micro-batches
-  concurrent single predictions, LRU-caches repeated inputs and exposes
-  hit/latency counters;
+  concurrent single predictions (each flush takes whatever is already
+  queued, never waiting on a timer), LRU-caches repeated inputs and
+  exposes hit/latency counters;
 * :mod:`repro.serving.featurizer` — :class:`BatchFeaturizer`, the batch
   fast path of the service's miss traffic (one-pass tokenization with a
   shared item memo, plus precomputed fused encoders for unigram TF-IDF and
@@ -16,20 +17,9 @@ The subsystem turns exported model bundles into a running inference layer:
 * :mod:`repro.serving.cache` — :class:`ShardedResultCache`, the
   epoch-guarded LRU result cache partitioned into independently-locked
   stripes, which also hosts the single-flight registry coalescing identical
-  concurrent requests;
-* :mod:`repro.serving.batching` — the pluggable flush control of the
-  micro-batch worker: :class:`FixedBatchPolicy` (constant size/timeout,
-  the default) and :class:`AdaptiveBatchPolicy` (SLO-aware windows sized
-  from observed queue depth).
+  concurrent requests.
 """
 
-from repro.serving.batching import (
-    AdaptiveBatchPolicy,
-    BatchPlan,
-    BatchPolicy,
-    FixedBatchPolicy,
-    resolve_batch_policy,
-)
 from repro.serving.bundle import (
     ModelBundle,
     discover_bundles,
@@ -45,11 +35,7 @@ from repro.serving.featurizer import (
 from repro.serving.service import PredictionService
 
 __all__ = [
-    "AdaptiveBatchPolicy",
     "BatchFeaturizer",
-    "BatchPlan",
-    "BatchPolicy",
-    "FixedBatchPolicy",
     "InFlight",
     "ModelBundle",
     "PrecomputedHashingEncoder",
@@ -59,5 +45,4 @@ __all__ = [
     "discover_bundles",
     "load_bundles",
     "validate_manifest",
-    "resolve_batch_policy",
 ]

@@ -133,6 +133,16 @@ class TestProcessGaugeMerging:
         )
         assert merged["process"]["uptime_seconds"] == 3600.0
 
+    def test_largest_batch_is_fleet_max(self):
+        # Four workers that each flushed a full 32-request batch: the fleet's
+        # largest batch is 32, not 128, while the request counters still sum.
+        merged = merge_health_snapshots(
+            [{"service": {"largest_batch": 32, "batched_requests": 64}}] * 3
+            + [{"service": {"largest_batch": 5, "batched_requests": 7}}]
+        )
+        assert merged["service"]["largest_batch"] == 32
+        assert merged["service"]["batched_requests"] == 199
+
     def test_peak_rss_sums_and_versions_fold(self):
         merged = merge_health_snapshots(
             [

@@ -23,23 +23,30 @@ from repro.server import ModelServer
 from tests.server.conftest import ServerClient, make_gateway
 
 
-def _slow_gateway(export_dir, delay: float) -> ModelGateway:
-    """A gateway whose model sleeps *delay* seconds per prediction pass."""
+def _slow_gateway(export_dir, delay: float) -> tuple[ModelGateway, list[int]]:
+    """A gateway whose model sleeps *delay* seconds per prediction pass, plus
+    a one-element counter of the slowed passes that ran.
+
+    The TF-IDF serving path runs ``predict_proba_features`` on precomputed
+    features, so that is the pass the sleep is pinned to.
+    """
     model = ModelBundle.load(export_dir / "logreg").model
-    inner = model.predict_proba_tokens
+    inner = model.predict_proba_features
+    passes = [0]
 
-    def sleepy(token_lists):
+    def sleepy(features):
+        passes[0] += 1
         time.sleep(delay)
-        return inner(token_lists)
+        return inner(features)
 
-    model.predict_proba_tokens = sleepy
+    model.predict_proba_features = sleepy
     gateway = ModelGateway(cache_size=0)
     gateway.deploy("cuisine", "v1", model)
-    return gateway
+    return gateway, passes
 
 
 def test_inflight_requests_finish_during_drain(server_export_dir, server_sequences):
-    gateway = _slow_gateway(server_export_dir, delay=0.3)
+    gateway, passes = _slow_gateway(server_export_dir, delay=0.3)
     server = ModelServer(gateway, max_inflight=16)
     handle = server.start_in_thread()
     # Warm featurization so the in-flight window is dominated by the sleep.
@@ -48,6 +55,7 @@ def test_inflight_requests_finish_during_drain(server_export_dir, server_sequenc
         "POST", "/routes/cuisine/predict", {"sequence": list(server_sequences[0])}
     )[0] == 200
     warm.close()
+    assert passes[0] == 1, "the pinned service time never ran"
 
     results: list[tuple[int, dict]] = []
     errors: list[BaseException] = []
@@ -78,6 +86,7 @@ def test_inflight_requests_finish_during_drain(server_export_dir, server_sequenc
     assert len(results) == 4
     assert all(status == 200 for status, _ in results)
     assert all("label" in payload for _, payload in results)
+    assert passes[0] >= 2  # the in-flight requests really paid the sleep
     # The drain closed the gateway and, transitively, the owned service.
     with pytest.raises(RuntimeError):
         gateway.service.predict_proba("cuisine@v1", list(server_sequences[0]))

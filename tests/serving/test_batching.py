@@ -1,4 +1,4 @@
-"""Tests for batch policies, the policy-driven worker, and coalescing."""
+"""Tests for the micro-batch worker's drain-what-is-queued rule and coalescing."""
 
 import threading
 import time
@@ -6,16 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.data.generator import GeneratorConfig, RecipeDBGenerator
 from repro.models.registry import create_model
 from repro.serving import PredictionService
-from repro.serving.batching import (
-    AdaptiveBatchPolicy,
-    BatchPlan,
-    BatchPolicy,
-    FixedBatchPolicy,
-    resolve_batch_policy,
-)
 from repro.serving.featurizer import BatchFeaturizer
 
 MODELS = ("logreg", "naive_bayes")
@@ -49,140 +41,12 @@ def _slow(model, seconds):
     return original
 
 
-class TestFixedBatchPolicy:
-    def test_constant_plan(self):
-        policy = FixedBatchPolicy(max_batch_size=8, flush_interval=0.01)
-        for depth in (0, 1, 7, 8, 500):
-            assert policy.plan(depth) == BatchPlan(limit=8, window=0.01)
+class TestDrainQueuedRule:
+    """The worker blocks for one request, then flushes it together with
+    whatever else is already queued, up to ``max_batch_size``."""
 
-    def test_describe(self):
-        policy = FixedBatchPolicy(max_batch_size=8, flush_interval=0.01)
-        assert policy.describe() == {"policy": "fixed", "limit": 8, "window_ms": 10.0}
-
-    @pytest.mark.parametrize("kwargs", [{"max_batch_size": 0}, {"flush_interval": -1}])
-    def test_invalid_arguments_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            FixedBatchPolicy(**kwargs)
-
-
-class TestAdaptiveBatchPolicy:
-    def test_deep_backlog_never_waits(self):
-        policy = AdaptiveBatchPolicy(max_batch_size=16, slo_ms=25.0)
-        assert policy.plan(16) == BatchPlan(limit=16, window=0.0)
-        assert policy.plan(1000).window == 0.0
-
-    def test_idle_service_flushes_immediately(self):
-        policy = AdaptiveBatchPolicy(max_batch_size=16, slo_ms=25.0)
-        assert policy.plan(0).window == 0.0  # fresh policy: no load observed
-
-    def test_moderate_load_waits_a_slo_fraction(self):
-        policy = AdaptiveBatchPolicy(max_batch_size=16, slo_ms=25.0, window_fraction=0.2)
-        plan = policy.plan(3)
-        assert plan.limit == 16
-        assert plan.window == pytest.approx(0.005)  # 20% of 25 ms
-
-    def test_busy_history_keeps_window_on_empty_queue(self):
-        policy = AdaptiveBatchPolicy(max_batch_size=16, slo_ms=25.0)
-        for _ in range(10):
-            policy.observe(batch_size=8, queue_depth=4)
-        assert policy.plan(0).window > 0  # traffic is coming; gather a batch
-
-    def test_load_signal_decays_back_to_idle(self):
-        policy = AdaptiveBatchPolicy(max_batch_size=16, slo_ms=25.0)
-        for _ in range(10):
-            policy.observe(batch_size=8, queue_depth=4)
-        for _ in range(50):
-            policy.observe(batch_size=1, queue_depth=0)
-        assert policy.plan(0).window == 0.0
-
-    def test_describe_reports_live_signal(self):
-        policy = AdaptiveBatchPolicy(max_batch_size=16, slo_ms=30.0)
-        policy.observe(batch_size=5, queue_depth=3)
-        described = policy.describe()
-        assert described["policy"] == "adaptive"
-        assert described["slo_ms"] == 30.0
-        assert described["load_ewma"] > 0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_batch_size": 0},
-            {"slo_ms": 0},
-            {"slo_ms": -5},
-            {"window_fraction": 0},
-            {"window_fraction": 1.5},
-            {"ewma_alpha": 0},
-        ],
-    )
-    def test_invalid_arguments_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            AdaptiveBatchPolicy(**{"max_batch_size": 16, "slo_ms": 25.0, **kwargs})
-
-
-class TestResolveBatchPolicy:
-    def test_none_and_fixed_build_fixed(self):
-        for spec in (None, "fixed"):
-            policy = resolve_batch_policy(spec, max_batch_size=4, flush_interval=0.02)
-            assert isinstance(policy, FixedBatchPolicy)
-            assert policy.plan(0) == BatchPlan(limit=4, window=0.02)
-
-    def test_adaptive_uses_slo(self):
-        policy = resolve_batch_policy(
-            "adaptive", max_batch_size=4, flush_interval=0.02, slo_ms=50.0
-        )
-        assert isinstance(policy, AdaptiveBatchPolicy)
-        assert policy.slo_ms == 50.0
-
-    def test_adaptive_default_slo(self):
-        policy = resolve_batch_policy("adaptive", max_batch_size=4, flush_interval=0.02)
-        assert policy.slo_ms == 25.0
-
-    def test_instance_passes_through(self):
-        instance = FixedBatchPolicy(2, 0.0)
-        assert (
-            resolve_batch_policy(instance, max_batch_size=64, flush_interval=1.0)
-            is instance
-        )
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown batch policy"):
-            resolve_batch_policy("greedy", max_batch_size=4, flush_interval=0.02)
-
-
-class _HostilePolicy(BatchPolicy):
-    """Returns plans that would crash an unclamped worker loop."""
-
-    def plan(self, queue_depth: int) -> BatchPlan:
-        return BatchPlan(limit=0, window=-1.0)
-
-
-class TestWorkerClampRegression:
-    def test_negative_window_and_zero_limit_still_serve(self, fitted_models, sequences):
-        """A policy window < 0 must never reach queue.get(timeout=...) — the
-        stdlib raises ValueError on negative timeouts — and a limit < 1 must
-        not wedge the loop; both clamp (window→0, limit→1) and requests are
-        answered normally."""
-        with PredictionService(
-            {"m": fitted_models["logreg"]}, batch_policy=_HostilePolicy()
-        ) as service:
-            rows = [service.predict_proba("m", sequence) for sequence in sequences[:4]]
-            assert all(row.shape == rows[0].shape for row in rows)
-            stats = service.stats()
-            assert stats["requests"] == 4
-            assert stats["batches_flushed"] == 4  # limit clamped to 1
-            assert stats["largest_batch"] == 1
-
-    def test_negative_flush_interval_still_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="flush_interval"):
-            PredictionService(flush_interval=-0.001)
-
-
-class TestPolicyDrivenService:
-    @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
-    def test_policies_serve_identical_results(self, fitted_models, sequences, policy):
-        with PredictionService(
-            {"m": fitted_models["logreg"]}, batch_policy=policy, cache_size=0
-        ) as service:
+    def test_serves_reference_results(self, fitted_models, sequences):
+        with PredictionService({"m": fitted_models["logreg"]}, cache_size=0) as service:
             rows = [service.predict_proba("m", sequence) for sequence in sequences]
         reference = [
             fitted_models["logreg"].predict_proba_sequences([sequence])[0]
@@ -190,26 +54,21 @@ class TestPolicyDrivenService:
         ]
         np.testing.assert_allclose(np.vstack(rows), np.vstack(reference), atol=1e-12)
 
-    def test_stats_expose_policy_and_distributions(self, fitted_models, sequences):
-        with PredictionService(
-            {"m": fitted_models["logreg"]}, batch_policy="adaptive", slo_ms=40.0
-        ) as service:
+    def test_stats_expose_batch_distributions(self, fitted_models, sequences):
+        with PredictionService({"m": fitted_models["logreg"]}) as service:
             service.predict_proba("m", sequences[0])
             stats = service.stats()
-        assert stats["batching"]["policy"] == "adaptive"
-        assert stats["batching"]["slo_ms"] == 40.0
         assert stats["stages"]["queue_depth"]["count"] == 1
         assert stats["stages"]["batch_size"]["count"] == 1
         assert stats["stages"]["batch_size"]["max"] == 1.0
 
-    def test_adaptive_batches_under_concurrency(self, fitted_models, sequences):
-        """Concurrent distinct requests still micro-batch under adaptive."""
+    def test_batches_form_under_concurrency(self, fitted_models, sequences):
+        """Concurrent distinct requests queue up behind a slow pass and are
+        flushed together, without any flush timer."""
         model = fitted_models["logreg"]
         original = _slow(model, 0.01)
         try:
-            with PredictionService(
-                {"m": model}, batch_policy="adaptive", cache_size=0
-            ) as service:
+            with PredictionService({"m": model}, cache_size=0) as service:
                 threads = [
                     threading.Thread(
                         target=service.predict_proba, args=("m", sequence)
@@ -225,6 +84,54 @@ class TestPolicyDrivenService:
                 assert stats["largest_batch"] > 1
         finally:
             model.predict_proba_features = original
+
+    def test_max_batch_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_batch_size"):
+            PredictionService(max_batch_size=0)
+
+    def test_flush_takes_queued_requests_up_to_max_batch_size(
+        self, fitted_models, sequences
+    ):
+        model = fitted_models["logreg"]
+        original = model.predict_proba_features
+        entered, release = threading.Event(), threading.Event()
+
+        def gated(features):
+            entered.set()
+            release.wait(timeout=30.0)
+            return original(features)
+
+        model.predict_proba_features = gated
+        try:
+            with PredictionService(
+                {"m": model}, cache_size=0, coalesce=False, max_batch_size=4
+            ) as service:
+                first = threading.Thread(
+                    target=service.predict_proba, args=("m", sequences[0])
+                )
+                first.start()
+                assert entered.wait(timeout=30.0)  # the worker is busy
+                queued = [
+                    threading.Thread(target=service.predict_proba, args=("m", s))
+                    for s in sequences[1:11]
+                ]
+                for thread in queued:
+                    thread.start()
+                deadline = time.monotonic() + 30.0
+                while service._queue.qsize() < 10 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                assert service._queue.qsize() == 10
+                release.set()
+                for thread in [first, *queued]:
+                    thread.join(timeout=30.0)
+                stats = service.stats()
+        finally:
+            model.predict_proba_features = original
+        # 1 alone (it was the only request when the worker woke), then the
+        # 10 queued ones in flushes of 4, 4 and 2.
+        assert stats["batches_flushed"] == 4
+        assert stats["batched_requests"] == 11
+        assert stats["largest_batch"] == 4
 
 
 class TestCoalescing:
@@ -347,18 +254,13 @@ class TestCoalescing:
 class TestBitwiseIdentity:
     """Acceptance: served rows are bitwise-identical to the per-sequence
     reference (one sequence per pass through the same token featurization)
-    under both policies and with coalescing on."""
+    with coalescing on."""
 
     @pytest.mark.parametrize("model_name", MODELS)
-    @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
-    def test_sequential_predicts_bitwise(
-        self, fitted_models, sequences, model_name, policy
-    ):
+    def test_sequential_predicts_bitwise(self, fitted_models, sequences, model_name):
         model = fitted_models[model_name]
         featurizer = BatchFeaturizer()
-        with PredictionService(
-            {"m": model}, batch_policy=policy, cache_size=0
-        ) as service:
+        with PredictionService({"m": model}, cache_size=0) as service:
             tokens = featurizer.batch_tokens(
                 [service._validated(s) for s in sequences],
                 model.feature_spec().pipeline,

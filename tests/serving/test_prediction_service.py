@@ -252,9 +252,7 @@ class TestShutdownUnderLoad:
         completion — shutdown drains, it does not drop."""
         from repro.serving.service import _Request
 
-        service = PredictionService.from_export_dir(
-            export_dir, cache_size=0, flush_interval=0.05
-        )
+        service = PredictionService.from_export_dir(export_dir, cache_size=0)
         service._ensure_worker()
         model = service._models["logreg"]
         queued = [
@@ -280,7 +278,7 @@ class TestShutdownUnderLoad:
         """Under concurrent load, every request racing a close() either gets
         a real result or the explicit closed error — never a timeout."""
         service = PredictionService.from_export_dir(
-            export_dir, cache_size=0, flush_interval=0.002, request_timeout=30.0
+            export_dir, cache_size=0, request_timeout=30.0
         )
         outcomes: list = []
         outcome_lock = threading.Lock()
