@@ -99,9 +99,20 @@ class CountVectorizer:
         return self
 
     def transform(self, documents: Iterable[str | Sequence[str]]) -> sparse.csr_matrix:
-        """Vectorize *documents* using the learned vocabulary.
+        """Vectorize *documents* using the learned vocabulary."""
+        data, indices, indptr = self.count_arrays(documents)
+        return sparse.csr_matrix(
+            (data, indices, indptr),
+            shape=(len(indptr) - 1, self.n_features),
+            dtype=np.float64,
+        )
 
-        The CSR arrays are assembled with NumPy: token occurrences become one
+    def count_arrays(
+        self, documents: Iterable[str | Sequence[str]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Canonical CSR ``(data, indices, indptr)`` of the document counts.
+
+        The arrays are assembled with NumPy: token occurrences become one
         flat column-index array, duplicates within a document are merged by a
         single ``np.unique`` over ``row * n_features + column`` keys (which
         also yields CSR-sorted order), and the row pointer comes from
@@ -142,9 +153,7 @@ class CountVectorizer:
         )
         indptr = np.zeros(n_docs + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n_docs), out=indptr[1:])
-        return sparse.csr_matrix(
-            (data, indices, indptr), shape=(n_docs, n_features), dtype=np.float64
-        )
+        return data, indices, indptr
 
     def fit_transform(self, documents: Iterable[str | Sequence[str]]) -> sparse.csr_matrix:
         """Fit on *documents* and return their vectorization."""

@@ -47,52 +47,58 @@ class TfidfVectorizer:
     # ------------------------------------------------------------------
     def fit(self, documents: Iterable[str | Sequence[str]]) -> "TfidfVectorizer":
         """Learn vocabulary and idf weights from *documents*."""
-        documents = list(documents)
-        counts = self._counter.fit_transform(documents)
-        self._fit_idf(counts)
+        self._fit(list(documents))
         return self
-
-    def _fit_idf(self, counts: sparse.csr_matrix) -> None:
-        n_docs = counts.shape[0]
-        df = np.asarray((counts > 0).sum(axis=0)).ravel().astype(np.float64)
-        if self.smooth_idf:
-            idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-        else:
-            with np.errstate(divide="ignore"):
-                idf = np.log(n_docs / np.maximum(df, 1.0)) + 1.0
-        self.idf_ = idf
 
     def transform(self, documents: Iterable[str | Sequence[str]]) -> sparse.csr_matrix:
         """Vectorize *documents* into TF-IDF space."""
         if self.idf_ is None:
             raise RuntimeError("vectorizer is not fitted; call fit() first")
-        counts = self._counter.transform(documents).astype(np.float64)
-        if self.sublinear_tf:
-            counts.data = 1.0 + np.log(counts.data)
-        tfidf = counts.multiply(sparse.csr_matrix(self.idf_)).tocsr()
-        return self._normalize(tfidf)
+        return self._weight(*self._counter.count_arrays(documents))
 
     def fit_transform(self, documents: Iterable[str | Sequence[str]]) -> sparse.csr_matrix:
         """Fit and transform in one pass over *documents*."""
-        documents = list(documents)
-        counts = self._counter.fit_transform(documents).astype(np.float64)
-        self._fit_idf(counts)
-        if self.sublinear_tf:
-            counts.data = 1.0 + np.log(counts.data)
-        tfidf = counts.multiply(sparse.csr_matrix(self.idf_)).tocsr()
-        return self._normalize(tfidf)
+        return self._weight(*self._fit(list(documents)))
 
-    # ------------------------------------------------------------------
-    def _normalize(self, matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-        if self.norm is None:
-            return matrix
-        if self.norm == "l2":
-            norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
+    def _fit(
+        self, documents: list[str | Sequence[str]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fit vocabulary and idf; return the count arrays of *documents*."""
+        arrays = self._counter.fit(documents).count_arrays(documents)
+        n_docs = len(documents)
+        df = np.bincount(arrays[1], minlength=self.n_features).astype(np.float64)
+        if self.smooth_idf:
+            self.idf_ = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
         else:
-            norms = np.asarray(np.abs(matrix).sum(axis=1)).ravel()
-        norms[norms == 0.0] = 1.0
-        inverse = sparse.diags(1.0 / norms)
-        return (inverse @ matrix).tocsr()
+            with np.errstate(divide="ignore"):
+                self.idf_ = np.log(n_docs / np.maximum(df, 1.0)) + 1.0
+        return arrays
+
+    def _weight(
+        self, counts: np.ndarray, indices: np.ndarray, indptr: np.ndarray
+    ) -> sparse.csr_matrix:
+        """TF-IDF CSR from canonical count arrays, in one NumPy pass.
+
+        Each row is weighted and normalised on its own stored elements in
+        sorted column order, so a row's bits never depend on which other
+        rows share the call.
+        """
+        data = 1.0 + np.log(counts) if self.sublinear_tf else counts
+        data = data * self.idf_[indices]
+        n_docs = len(indptr) - 1
+        if self.norm is not None:
+            lengths = np.diff(indptr)
+            nonempty = np.flatnonzero(lengths)
+            norms = np.ones(n_docs, dtype=np.float64)
+            if nonempty.size:
+                terms = data * data if self.norm == "l2" else np.abs(data)
+                sums = np.add.reduceat(terms, indptr[nonempty])
+                norms[nonempty] = np.sqrt(sums) if self.norm == "l2" else sums
+            norms[norms == 0.0] = 1.0
+            data = (1.0 / norms)[np.repeat(np.arange(n_docs), lengths)] * data
+        return sparse.csr_matrix(
+            (data, indices, indptr), shape=(n_docs, self.n_features), dtype=np.float64
+        )
 
     # ------------------------------------------------------------------
     def get_state(self) -> dict:

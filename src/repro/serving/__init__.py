@@ -12,8 +12,9 @@ The subsystem turns exported model bundles into a running inference layer:
   exposes hit/latency counters;
 * :mod:`repro.serving.featurizer` — :class:`BatchFeaturizer`, the batch
   fast path of the service's miss traffic (one-pass tokenization with a
-  shared item memo, plus precomputed fused encoders for unigram TF-IDF and
-  hashing-trick specs, bitwise-identical to the sequential path);
+  shared item memo, bitwise-identical to the sequential path), plus
+  :class:`PrecomputedTfidfEncoder`, the named encode step over the model's
+  own fused ``TfidfVectorizer.transform``;
 * :mod:`repro.serving.cache` — :class:`ShardedResultCache`, the
   epoch-guarded LRU result cache partitioned into independently-locked
   stripes, which also hosts the single-flight registry coalescing identical
@@ -27,18 +28,13 @@ from repro.serving.bundle import (
     validate_manifest,
 )
 from repro.serving.cache import InFlight, ShardedResultCache
-from repro.serving.featurizer import (
-    BatchFeaturizer,
-    PrecomputedHashingEncoder,
-    PrecomputedTfidfEncoder,
-)
+from repro.serving.featurizer import BatchFeaturizer, PrecomputedTfidfEncoder
 from repro.serving.service import PredictionService
 
 __all__ = [
     "BatchFeaturizer",
     "InFlight",
     "ModelBundle",
-    "PrecomputedHashingEncoder",
     "PrecomputedTfidfEncoder",
     "PredictionService",
     "ShardedResultCache",

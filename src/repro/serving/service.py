@@ -24,11 +24,12 @@ three paths:
 The service keeps per-model request counters and service-wide hit/latency
 counters (:meth:`~PredictionService.stats`).
 
-Determinism note: predicted *labels* and cached results are stable, but
-probability vectors can differ from a full-batch reference in the last ulp
-when micro-batching changes the batch composition — sparse matrix products
-sum in a batch-shape-dependent order.  Compare probabilities across batch
-compositions with ``np.allclose``, not bitwise.
+Determinism note: for the TF-IDF (statistical) models a row's probability
+vector does not depend on its batch partners — the fused
+``TfidfVectorizer.transform`` weights and normalises each row on its own
+stored elements, and the classifiers' sparse products sum each row in its
+own storage order — so micro-batching, coalescing and explicit batches
+return bitwise the same rows.
 """
 
 from __future__ import annotations
@@ -262,8 +263,8 @@ class PredictionService:
         featurized = time.perf_counter()
         encoder = self._featurizer.encoder_for(model)
         if encoder is not None:
-            # Precomputed fused encoding (bitwise-identical features), then
-            # the same classifier pass the generic path would run.
+            # The encode step on its own, then the same classifier pass the
+            # generic path would run.
             probabilities = model.predict_proba_features(encoder.encode(tokens))
         else:
             probabilities = model.predict_proba_tokens(tokens)

@@ -83,6 +83,22 @@ class TestTransform:
         matrix = vectorizer.transform(["zzz unknown terms"])
         assert matrix.nnz == 0
 
+    @pytest.mark.parametrize("sublinear_tf", [False, True])
+    def test_single_row_equals_its_row_of_a_batch(self, sublinear_tf):
+        """A row's layout and bits do not depend on its batch partners."""
+        docs = DOCS + [
+            "wok soy_sauce add onion garlic rice noodle steam tomato add",
+            "garlic garlic onion add add add rice tomato",
+            "zzz unknown terms",
+        ]
+        vectorizer = TfidfVectorizer(sublinear_tf=sublinear_tf).fit(DOCS)
+        batch = vectorizer.transform(docs)
+        for row, doc in enumerate(docs):
+            single = vectorizer.transform([doc])
+            assert single.has_sorted_indices
+            np.testing.assert_array_equal(single.indices, batch[row].indices)
+            np.testing.assert_array_equal(single.data, batch[row].data)
+
 
 class TestDownweighting:
     def test_high_frequency_terms_downweighted(self):

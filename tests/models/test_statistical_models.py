@@ -93,3 +93,29 @@ class TestStatisticalModelMechanics:
         assert model.booster is None
         probabilities = model.predict_proba(splits.test)
         assert np.allclose(probabilities.sum(axis=1), 1.0)
+
+
+class TestBatchInvariance:
+    """A recipe's probabilities do not depend on the batch it is scored in."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda ls: LogisticRegressionModel(label_space=ls, max_iter=30),
+            lambda ls: NaiveBayesModel(label_space=ls),
+            lambda ls: SVMModel(label_space=ls, max_iter=30),
+            lambda ls: RandomForestModel(
+                label_space=ls, n_estimators=5, max_depth=8, boosting_rounds=2
+            ),
+        ],
+        ids=["logreg", "naive_bayes", "svm_linear", "random_forest"],
+    )
+    def test_single_rows_equal_their_batch_rows_bitwise(self, splits, label_space, factory):
+        model = factory(label_space).fit(splits.train)
+        sequences = [recipe.sequence for recipe in splits.test.recipes[:96]]
+        assert len(sequences) >= 64
+        batch = model.predict_proba_sequences(sequences)
+        for row, sequence in enumerate(sequences):
+            np.testing.assert_array_equal(
+                model.predict_proba_sequences([sequence])[0], batch[row]
+            )

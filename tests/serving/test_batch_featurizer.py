@@ -9,11 +9,8 @@ from repro.features.tfidf import TfidfVectorizer
 from repro.models.registry import MODEL_NAMES, create_model
 from repro.models.statistical import StatisticalModel
 from repro.pipeline.store import FeatureStore
-from repro.serving.featurizer import (
-    BatchFeaturizer,
-    PrecomputedHashingEncoder,
-    PrecomputedTfidfEncoder,
-)
+from repro.serving import PredictionService
+from repro.serving.featurizer import BatchFeaturizer, PrecomputedTfidfEncoder
 from repro.text.pipeline import PipelineConfig
 
 #: Every PipelineConfig combination over the four boolean axes.
@@ -136,71 +133,115 @@ def _assert_csr_bitwise(reference, fused):
     np.testing.assert_array_equal(reference.data, fused.data)
 
 
+def _features(tokens, ngram_range):
+    lo, hi = ngram_range
+    return [
+        " ".join(tokens[i : i + n])
+        for n in range(lo, hi + 1)
+        for i in range(len(tokens) - n + 1)
+    ]
+
+
+def _dense_counts(docs, vocabulary, ngram_range):
+    counts = np.zeros((len(docs), len(vocabulary)))
+    for row, tokens in enumerate(docs):
+        for feature in _features(tokens, ngram_range):
+            if feature in vocabulary:
+                counts[row, vocabulary[feature]] += 1.0
+    return counts
+
+
+def _dense_tfidf(fit_docs, docs, vectorizer, kwargs):
+    """The TF-IDF formula on dense arrays, independent of the sparse code:
+    idf from the fit documents' document frequencies, optional sublinear tf,
+    then each row divided by its l2/l1 norm (empty rows stay zero)."""
+    ngram_range = kwargs.get("ngram_range", (1, 1))
+    vocabulary = vectorizer.vocabulary_
+    df = (_dense_counts(fit_docs, vocabulary, ngram_range) > 0).sum(axis=0)
+    n = len(fit_docs)
+    if kwargs.get("smooth_idf", True):
+        idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
+    else:
+        idf = np.log(n / df) + 1.0
+    counts = _dense_counts(docs, vocabulary, ngram_range)
+    tf = counts
+    if kwargs.get("sublinear_tf", False):
+        tf = np.where(counts > 0, 1.0 + np.log(np.maximum(counts, 1.0)), 0.0)
+    weighted = tf * idf
+    norm = kwargs.get("norm", "l2")
+    if norm is None:
+        return weighted
+    if norm == "l2":
+        norms = np.sqrt((weighted**2).sum(axis=1))
+    else:
+        norms = np.abs(weighted).sum(axis=1)
+    norms[norms == 0.0] = 1.0
+    return weighted / norms[:, None]
+
+
+TFIDF_PARAMS = [
+    {},
+    {"sublinear_tf": True},
+    {"norm": "l1"},
+    {"norm": None},
+    {"smooth_idf": False},
+]
+NGRAM_RANGES = [(1, 2), (2, 2), (1, 3), (3, 3)]
+
+
+def _params_id(kwargs):
+    return ",".join(f"{k}={v}" for k, v in kwargs.items()) or "default"
+
+
 class TestPrecomputedEncoders:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {},
-            {"sublinear_tf": True},
-            {"norm": "l1"},
-            {"norm": None},
-            {"smooth_idf": False},
-        ],
-        ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()) or "default",
-    )
+    def _assert_rows_batch_invariant(self, vectorizer, docs):
+        """Every row encoded alone is bitwise its row of the whole batch."""
+        encoder = PrecomputedTfidfEncoder(vectorizer)
+        batch = encoder.encode(docs)
+        assert batch.has_sorted_indices
+        for row, doc in enumerate(docs):
+            _assert_csr_bitwise(batch[row], encoder.encode([doc]))
+
+    @pytest.mark.parametrize("kwargs", TFIDF_PARAMS, ids=_params_id)
     def test_tfidf_encoder_bitwise(self, sequences, kwargs):
         docs = _token_docs(sequences)
         vectorizer = TfidfVectorizer(**kwargs)
         vectorizer.fit(docs[: len(docs) // 2])
-        encoder = PrecomputedTfidfEncoder(vectorizer)
-        _assert_csr_bitwise(vectorizer.transform(docs), encoder.encode(docs))
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"n_features": 128},
-            {"n_features": 128, "binary": True},
-            {"n_features": 128, "alternate_sign": False},
-            {"n_features": 8},  # heavy collisions, sign cancellation
-        ],
-        ids=["default", "binary", "no_sign", "tiny"],
-    )
-    def test_hashing_encoder_bitwise(self, sequences, kwargs):
-        docs = _token_docs(sequences)
-        vectorizer = HashingVectorizer(**kwargs)
-        encoder = PrecomputedHashingEncoder(vectorizer)
-        _assert_csr_bitwise(vectorizer.transform(docs), encoder.encode(docs))
-
-    def test_hashing_memo_bound_respected(self, sequences):
-        docs = _token_docs(sequences)
-        vectorizer = HashingVectorizer(n_features=64)
-        encoder = PrecomputedHashingEncoder(vectorizer, memo_size=3)
-        _assert_csr_bitwise(vectorizer.transform(docs), encoder.encode(docs))
-        assert len(encoder._memo) <= 3
-
-    def test_unfitted_tfidf_rejected(self):
-        with pytest.raises(RuntimeError, match="not fitted"):
-            PrecomputedTfidfEncoder(TfidfVectorizer())
-
-    NGRAM_RANGES = [(1, 2), (2, 2), (1, 3), (3, 3)]
+        self._assert_rows_batch_invariant(vectorizer, docs)
 
     @pytest.mark.parametrize("ngram_range", NGRAM_RANGES, ids=str)
     def test_tfidf_ngram_encoder_bitwise(self, sequences, ngram_range):
         docs = _token_docs(sequences)
         vectorizer = TfidfVectorizer(ngram_range=ngram_range)
         vectorizer.fit(docs[: len(docs) // 2])
-        encoder = PrecomputedTfidfEncoder(vectorizer)
-        _assert_csr_bitwise(vectorizer.transform(docs), encoder.encode(docs))
+        self._assert_rows_batch_invariant(vectorizer, docs)
 
-    @pytest.mark.parametrize("ngram_range", NGRAM_RANGES, ids=str)
-    def test_hashing_ngram_encoder_bitwise(self, sequences, ngram_range):
+    @pytest.mark.parametrize(
+        "kwargs",
+        TFIDF_PARAMS + [{"ngram_range": ngram_range} for ngram_range in NGRAM_RANGES],
+        ids=_params_id,
+    )
+    def test_tfidf_transform_matches_dense_oracle(self, sequences, kwargs):
         docs = _token_docs(sequences)
-        vectorizer = HashingVectorizer(n_features=128, ngram_range=ngram_range)
-        encoder = PrecomputedHashingEncoder(vectorizer)
-        _assert_csr_bitwise(vectorizer.transform(docs), encoder.encode(docs))
+        fit_docs = docs[: len(docs) // 2]
+        vectorizer = TfidfVectorizer(**kwargs).fit(fit_docs)
+        expected = _dense_tfidf(fit_docs, docs, vectorizer, kwargs)
+        np.testing.assert_allclose(
+            vectorizer.transform(docs).toarray(), expected, rtol=1e-12, atol=0
+        )
+        np.testing.assert_allclose(
+            TfidfVectorizer(**kwargs).fit_transform(fit_docs).toarray(),
+            _dense_tfidf(fit_docs, fit_docs, vectorizer, kwargs),
+            rtol=1e-12,
+            atol=0,
+        )
+
+    def test_unfitted_tfidf_rejected(self):
+        with pytest.raises(RuntimeError, match="not fitted"):
+            PrecomputedTfidfEncoder(TfidfVectorizer())
 
     def test_ngram_vectorizer_model_gets_encoder(self, sequences):
-        """N-gram specs now qualify for the fused dispatch path."""
+        """N-gram specs qualify for the encoder dispatch path."""
         docs = _token_docs(sequences)
         model = create_model("naive_bayes")
         model.vectorizer = TfidfVectorizer(ngram_range=(1, 2)).fit(docs)
@@ -219,12 +260,6 @@ class TestEncoderDispatch:
     def test_statistical_model_gets_tfidf_encoder(self, fitted_logreg):
         encoder = BatchFeaturizer().encoder_for(fitted_logreg)
         assert isinstance(encoder, PrecomputedTfidfEncoder)
-
-    def test_encoder_cached_per_model(self, fitted_logreg):
-        featurizer = BatchFeaturizer()
-        assert featurizer.encoder_for(fitted_logreg) is featurizer.encoder_for(
-            fitted_logreg
-        )
 
     def test_instance_override_disables_fast_path(self, fitted_logreg, tiny_corpus):
         model = create_model("logreg", max_iter=30)
@@ -247,10 +282,16 @@ class TestEncoderDispatch:
             fitted_logreg.predict_proba_tokens(tokens), fused
         )
 
-    def test_hashing_vectorizer_model_dispatch(self, fitted_logreg, sequences):
-        """A statistical model over hashed features gets the hashing encoder."""
+    def test_hashing_vectorizer_model_dispatch(self, tiny_corpus, sequences):
+        """A statistical model over hashed features gets no encoder; the
+        service serves it through ``predict_proba_tokens``, bit for bit."""
         model = create_model("naive_bayes")
-        model.vectorizer = HashingVectorizer(n_features=32)
+        model.fit(tiny_corpus)
+        model.vectorizer = HashingVectorizer(n_features=model.vectorizer.n_features)
         assert isinstance(model, StatisticalModel)
-        encoder = BatchFeaturizer().encoder_for(model)
-        assert isinstance(encoder, PrecomputedHashingEncoder)
+        assert BatchFeaturizer().encoder_for(model) is None
+        config = model.feature_spec().pipeline
+        expected = model.predict_proba_tokens(_sequential_tokens(sequences, config))
+        with PredictionService({"hashed": model}, cache_size=0) as service:
+            served = service.predict_proba_batch("hashed", sequences)
+        np.testing.assert_array_equal(served, expected)

@@ -52,7 +52,7 @@ class TestDrainQueuedRule:
             fitted_models["logreg"].predict_proba_sequences([sequence])[0]
             for sequence in sequences
         ]
-        np.testing.assert_allclose(np.vstack(rows), np.vstack(reference), atol=1e-12)
+        np.testing.assert_array_equal(np.vstack(rows), np.vstack(reference))
 
     def test_stats_expose_batch_distributions(self, fitted_models, sequences):
         with PredictionService({"m": fitted_models["logreg"]}) as service:

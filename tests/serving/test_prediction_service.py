@@ -73,7 +73,7 @@ class TestPredictionPaths:
         served = np.vstack(
             [service.predict_proba("logreg", s) for s in request_sequences]
         )
-        np.testing.assert_allclose(direct, served, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(direct, served)
         assert np.array_equal(direct.argmax(axis=1), served.argmax(axis=1))
 
     def test_batch_predictions_match_singles(self, service, request_sequences):
@@ -141,7 +141,7 @@ class TestCaching:
             expected = service._models["naive_bayes"].predict_proba_sequences(
                 [request_sequences[0]]
             )[0]
-            np.testing.assert_allclose(expected, swapped, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(expected, swapped)
             assert service.stats()["cache_hits"] == stats_before  # no stale hit
 
     def test_in_flight_result_of_swapped_model_is_not_cached(
@@ -188,9 +188,8 @@ class TestMicroBatching:
                 thread.join()
 
             served = np.vstack(results)
-            # Micro-batch composition may perturb sparse sums by ~1 ulp;
-            # labels must be unchanged.
-            np.testing.assert_allclose(direct, served, rtol=0, atol=1e-12)
+            # A row's bits do not depend on its micro-batch partners.
+            np.testing.assert_array_equal(direct, served)
             assert np.array_equal(direct.argmax(axis=1), served.argmax(axis=1))
             stats = service.stats()
             assert stats["batched_requests"] == len(request_sequences)
@@ -220,8 +219,8 @@ class TestMicroBatching:
                     request_sequences[:8]
                 )
                 for index in range(8):
-                    np.testing.assert_allclose(
-                        direct[index], results[(name, index)], rtol=0, atol=1e-12
+                    np.testing.assert_array_equal(
+                        direct[index], results[(name, index)]
                     )
 
     def test_worker_surfaces_model_errors(self, export_dir, request_sequences):
@@ -348,7 +347,7 @@ class TestSequentialModelServing:
             served = service.predict_proba_batch("lstm", request_sequences[:6])
             np.testing.assert_array_equal(direct, served)
             single = service.predict_proba("lstm", request_sequences[0])
-            np.testing.assert_allclose(direct[0], single, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(direct[0], single)
             assert isinstance(CuisineModel.load_bundle(tmp_path / "lstm"), LSTMCuisineClassifier)
 
 

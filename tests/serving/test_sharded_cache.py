@@ -218,13 +218,12 @@ class TestConcurrentHotSwap:
             for thread in threads:
                 thread.join()
             assert not errors
-            # Every answer served from the cache now must be the new model's
-            # (batch composition can shift the last ulp — the service's
-            # documented contract — so compare at 1e-12, not bitwise).
+            # Every answer served from the cache now must be the new model's,
+            # bitwise: a row does not depend on the batch it was scored in.
             expected = replacement.predict_proba_sequences(sequences)
             for sequence, row in zip(sequences, expected):
                 served = service.predict_proba("logreg", sequence)
-                np.testing.assert_allclose(served, row, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(served, row)
                 assert int(np.argmax(served)) == int(np.argmax(row))
 
 
@@ -333,12 +332,12 @@ class TestCoalescingAcrossHotSwap:
         # Model versions differ enough that v1 != v2 for this input.
         assert not np.allclose(expected_v1, expected_v2, atol=1e-12)
         # Leader: pinned to the model it started on.
-        np.testing.assert_allclose(outcome["leader"], expected_v1, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(outcome["leader"], expected_v1)
         # Follower: never served v1's stale result.
-        np.testing.assert_allclose(outcome["follower"], expected_v2, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(outcome["follower"], expected_v2)
         assert stats["coalesced_stale"] >= 1
         # The v1 result was epoch-guarded out of the cache: a fresh request
         # now gets v2's answer (from cache or a fresh pass), never v1's.
         with PredictionService({"cuisine": v2}) as check:
             served = check.predict_proba("cuisine", sequence)
-        np.testing.assert_allclose(served, expected_v2, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(served, expected_v2)
