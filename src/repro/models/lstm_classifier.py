@@ -168,6 +168,7 @@ class LSTMCuisineClassifier(CuisineModel):
         self.encoder = SequenceEncoder(self.vocabulary, max_length=cfg.max_length, add_cls=False)
         self.network = _LSTMNetwork(len(self.vocabulary), self.n_classes, cfg)
         self.network.load_state_dict(dict(state["network"]))
+        self.network.eval()  # set once here, never per predict
         # A trainer is (re)attached purely for its batched predict_logits path.
         self.trainer = Trainer(
             self.network,

@@ -232,6 +232,7 @@ class TransformerCuisineClassifier(CuisineModel):
         )
         self.network = TransformerForSequenceClassification(encoder_config, self.n_classes)
         self.network.load_state_dict(dict(state["network"]))
+        self.network.eval()  # set once here, never per predict
         # A trainer is (re)attached purely for its batched predict_logits path.
         self.trainer = Trainer(
             self.network,

@@ -397,16 +397,20 @@ class Tensor:
         return self._make(self.data * mask, (self,), backward)
 
     def gelu(self) -> "Tensor":
-        """Gaussian error linear unit (tanh approximation, as in BERT)."""
+        """Gaussian error linear unit (tanh approximation, as in BERT).
+
+        The cube is two multiplications: a power with exponent 3 goes
+        through libm ``pow`` and costs ~10x as much on an activation array.
+        """
         x = self.data
         c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * x**3)
+        inner = c * (x + 0.044715 * (x * x * x))
         tanh_inner = np.tanh(inner)
         data = 0.5 * x * (1.0 + tanh_inner)
 
         def backward(gradient: np.ndarray):
             sech2 = 1.0 - tanh_inner**2
-            d_inner = c * (1.0 + 3 * 0.044715 * x**2)
+            d_inner = c * (1.0 + 3 * 0.044715 * (x * x))
             derivative = 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
             return (gradient * derivative,)
 

@@ -159,6 +159,9 @@ class Trainer:
 
         if best_state is not None:
             self.model.load_state_dict(best_state)
+        # A fitted model is an inference model: predicting never writes the
+        # mode, so concurrent predicts on one model cannot toggle dropout.
+        self.model.eval()
         return self.history
 
     # ------------------------------------------------------------------
@@ -183,9 +186,15 @@ class Trainer:
         mask: np.ndarray | None,
         batch_size: int | None = None,
     ) -> np.ndarray:
-        """Model logits for every row of *ids* (evaluation mode, batched)."""
+        """Model logits for every row of *ids* (evaluation mode, batched).
+
+        The model is left in evaluation mode: :meth:`fit` switches it back to
+        training at the start of each epoch, and a model that is already in
+        evaluation mode (fitted or loaded) is not written to at all.
+        """
         batch_size = batch_size or self.config.batch_size
-        self.model.eval()
+        if self.model.training:
+            self.model.eval()
         outputs: list[np.ndarray] = []
         with no_grad():
             for start in range(0, ids.shape[0], batch_size):
@@ -193,7 +202,6 @@ class Trainer:
                 batch_mask = mask[start:stop] if mask is not None else None
                 logits = self.model(ids[start:stop], mask=batch_mask)
                 outputs.append(logits.data.copy())
-        self.model.train()
         return np.concatenate(outputs, axis=0)
 
 

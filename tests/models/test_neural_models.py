@@ -5,6 +5,11 @@ tiny; the assertions are about mechanics and better-than-chance learning, not
 about reaching paper-level accuracy.
 """
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,7 @@ from repro.models.transformer_classifier import (
     TransformerClassifierConfig,
     TransformerCuisineClassifier,
 )
+from repro.nn.module import Module
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +124,103 @@ class TestBERTvsRoBERTaPresets:
         assert BERTCuisineClassifier().name == "bert"
         assert RoBERTaCuisineClassifier().name == "roberta"
         assert LSTMCuisineClassifier().name == "lstm"
+
+
+# ----------------------------------------------------------------------
+# inference modes: set at fit and load, never per predict
+# ----------------------------------------------------------------------
+MODE_MODELS = {
+    "lstm": (LSTMCuisineClassifier, replace(SMALL_LSTM, epochs=1)),
+    "transformer": (
+        TransformerCuisineClassifier,
+        replace(SMALL_TRANSFORMER, epochs=1, pretrain_epochs=0),
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MODE_MODELS))
+def fitted_and_loaded(request, splits, label_space):
+    """A model fitted in-process and its ``get_state``/``set_state`` copy."""
+    model_cls, config = MODE_MODELS[request.param]
+    fitted = model_cls(label_space=label_space, config=config).fit(
+        splits.train, splits.validation
+    )
+    loaded = model_cls(label_space=label_space).set_state(fitted.get_state())
+    return fitted, loaded
+
+
+@pytest.fixture(scope="module")
+def held_out_tokens(splits, fitted_and_loaded):
+    pipeline = fitted_and_loaded[1]._pipeline()
+    return [pipeline.process_sequence(sequence) for sequence in splits.test.sequences]
+
+
+class TestInferenceModes:
+    """Dropout is switched by a mode flag on every module.  If predicting
+    wrote that flag, one thread's predict could turn dropout back on in the
+    middle of another thread's forward pass on the same model."""
+
+    def test_fit_and_set_state_leave_every_module_in_eval_mode(self, fitted_and_loaded):
+        for model in fitted_and_loaded:
+            assert not any(module.training for module in model.network.modules())
+
+    def test_predict_writes_no_mode(self, fitted_and_loaded, held_out_tokens, monkeypatch):
+        def refuse(self, mode=True):
+            raise AssertionError(f"predict wrote the mode of {type(self).__name__}")
+
+        compositions = (held_out_tokens, held_out_tokens[:1])
+        expected = [
+            [model.predict_proba_tokens(tokens) for tokens in compositions]
+            for model in fitted_and_loaded
+        ]
+        monkeypatch.setattr(Module, "train", refuse)
+        for model, answers in zip(fitted_and_loaded, expected):
+            for tokens, probabilities in zip(compositions, answers):
+                np.testing.assert_array_equal(model.predict_proba_tokens(tokens), probabilities)
+
+    def test_predict_switches_a_training_model_to_eval(self, fitted_and_loaded, held_out_tokens):
+        fitted, loaded = fitted_and_loaded
+        expected = loaded.predict_proba_tokens(held_out_tokens)
+        loaded.network.train()
+        np.testing.assert_array_equal(loaded.predict_proba_tokens(held_out_tokens), expected)
+        assert not any(module.training for module in loaded.network.modules())
+
+    def test_concurrent_singles_and_batches_are_bitwise_sequential(
+        self, fitted_and_loaded, held_out_tokens
+    ):
+        """One thread predicts single rows while another predicts 64-row
+        batches on the same loaded model; every answer must be bitwise the
+        sequential answer for the same batch composition."""
+        model = fitted_and_loaded[1]
+        singles = held_out_tokens[:40]
+        batch = (held_out_tokens * 2)[:64]
+        expected_singles = [model.predict_proba_tokens([tokens]) for tokens in singles]
+        expected_batch = model.predict_proba_tokens(batch)
+
+        start = threading.Barrier(2, timeout=60)
+        wrong: list[str] = []
+
+        def run_singles():
+            start.wait()
+            for repeat in range(3):
+                for index, tokens in enumerate(singles):
+                    answer = model.predict_proba_tokens([tokens])
+                    if not np.array_equal(answer, expected_singles[index]):
+                        wrong.append(f"single {index} (repeat {repeat})")
+
+        def run_batches():
+            start.wait()
+            for repeat in range(6):
+                if not np.array_equal(model.predict_proba_tokens(batch), expected_batch):
+                    wrong.append(f"batch (repeat {repeat})")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads finely
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(run_singles), pool.submit(run_batches)]
+                for future in futures:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not wrong, wrong

@@ -1,11 +1,15 @@
-"""Tests for model parameter saving/loading and strict-mismatch behaviour."""
+"""Tests for state-dict round-trips and strict-mismatch behaviour.
+
+Model bundles persist a network through ``Module.state_dict`` and restore it
+with ``Module.load_state_dict`` (see ``repro.models.artifacts``), so these are
+the load-time guarantees every saved neural model relies on.
+"""
 
 import numpy as np
 import pytest
 
 from repro.nn.layers import Embedding, Linear
 from repro.nn.module import Module
-from repro.nn.serialization import load_model, save_model
 
 
 class _Classifier(Module):
@@ -24,36 +28,31 @@ def _snapshot(model: Module) -> dict[str, np.ndarray]:
 
 
 class TestRoundTrip:
-    def test_save_load_is_exact(self, tmp_path):
+    def test_save_load_is_exact(self):
         source = _Classifier(seed=3)
-        path = save_model(source, tmp_path / "model")
-        assert path.suffix == ".npz"
+        state = source.state_dict()
 
         target = _Classifier(seed=9)
-        load_model(target, path)
+        target.load_state_dict(state)
+        source_params = dict(source.named_parameters())
         for name, parameter in target.named_parameters():
-            np.testing.assert_array_equal(parameter.data, dict(source.named_parameters())[name].data)
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_model(_Classifier(), tmp_path / "absent.npz")
-
-    def test_empty_model_cannot_be_saved(self, tmp_path):
-        with pytest.raises(ValueError, match="no parameters"):
-            save_model(Module(), tmp_path / "empty")
+            np.testing.assert_array_equal(parameter.data, source_params[name].data)
+        # The loaded parameters are copies: mutating the state leaves the model alone.
+        state["head.weight"] += 1.0
+        np.testing.assert_array_equal(target.head.weight.data, source.head.weight.data)
 
 
 class TestConfigMismatch:
-    def test_shape_mismatch_fails_loudly_without_corrupting_weights(self, tmp_path):
-        """A model saved under one config loaded under another must not
+    def test_shape_mismatch_fails_loudly_without_corrupting_weights(self):
+        """A state saved under one config loaded under another must not
         partially overwrite weights: the error lists every mismatched shape
         and the target model is left untouched."""
-        path = save_model(_Classifier(hidden=8), tmp_path / "hidden8")
+        state = _Classifier(hidden=8).state_dict()
         target = _Classifier(hidden=6)
         before = _snapshot(target)
 
         with pytest.raises(ValueError, match="no parameters were modified") as excinfo:
-            load_model(target, path)
+            target.load_state_dict(state)
         # Every mismatched parameter is named with both shapes.
         assert "embedding" in str(excinfo.value)
         assert "(12, 8)" in str(excinfo.value) and "(12, 6)" in str(excinfo.value)
@@ -63,26 +62,28 @@ class TestConfigMismatch:
         for name in before:
             np.testing.assert_array_equal(before[name], after[name])
 
-    def test_strict_key_mismatch_lists_missing_and_unexpected(self, tmp_path):
-        path = save_model(_Classifier(with_head=True), tmp_path / "with-head")
+    def test_strict_key_mismatch_lists_missing_and_unexpected(self):
+        state = _Classifier(with_head=True).state_dict()
         target = _Classifier(with_head=False)
+        before = _snapshot(target)
         with pytest.raises(ValueError) as excinfo:
-            load_model(target, path)
+            target.load_state_dict(state)
         message = str(excinfo.value)
-        assert "head" in message and "unexpected" in message
-        assert str(path) in message
+        assert "head.weight" in message and "head.bias" in message
+        assert "unexpected" in message and "missing keys none" in message
+        for name, parameter in target.named_parameters():
+            np.testing.assert_array_equal(parameter.data, before[name])
 
-    def test_non_strict_loads_intersection(self, tmp_path):
+    def test_non_strict_loads_intersection(self):
         source = _Classifier(with_head=True, seed=5)
-        path = save_model(source, tmp_path / "with-head")
         target = _Classifier(with_head=False, seed=8)
-        load_model(target, path, strict=False)
+        target.load_state_dict(source.state_dict(), strict=False)
         source_params = dict(source.named_parameters())
         for name, parameter in target.named_parameters():
             np.testing.assert_array_equal(parameter.data, source_params[name].data)
 
-    def test_non_strict_still_validates_shapes(self, tmp_path):
-        path = save_model(_Classifier(hidden=8), tmp_path / "hidden8")
+    def test_non_strict_still_validates_shapes(self):
+        state = _Classifier(hidden=8).state_dict()
         target = _Classifier(hidden=6)
         with pytest.raises(ValueError, match="shape mismatch"):
-            load_model(target, path, strict=False)
+            target.load_state_dict(state, strict=False)

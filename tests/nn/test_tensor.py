@@ -122,6 +122,18 @@ class TestNonlinearities:
     def test_elementwise_gradients(self, op):
         check_gradient(lambda p: getattr(p, op)().sum(), (3, 3), seed=hash(op) % 100)
 
+    def test_gelu_matches_tanh_formula(self):
+        """The multiplied cube reproduces the textbook tanh-GELU.
+
+        The cube by ``pow`` and by two multiplications may differ by one
+        rounding; where ``1 + tanh`` nearly cancels (x around -4) that ulp
+        is a ~1e-11 *relative* change of a ~1e-5 output, hence the absolute
+        floor of 1e-15 next to the relative 1e-12.
+        """
+        x = np.linspace(-10.0, 10.0, 200_001)
+        expected = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+        np.testing.assert_allclose(Tensor(x).gelu().data, expected, rtol=1e-12, atol=1e-15)
+
     def test_log_gradient(self):
         check_gradient(lambda p: (p.exp() + 1.0).log().sum(), (4,))
 
